@@ -1,13 +1,13 @@
 # Developer entry points. `make check` is the tier-1 gate: build, vet,
 # gofmt cleanliness, the project's own static-analysis suite (costlint),
-# and the full test suite.
+# the full test suite, and vet + tests of the perfbench benchmark module.
 
 GO ?= go
 PKGS := ./...
 BENCH_OUT ?= BENCH_INFERENCE.json
 BENCH_SERVE_OUT ?= BENCH_SERVE.json
 
-.PHONY: all build vet fmt-check lint static-tools test test-fault test-fuzz test-replica check bench bench-json bench-serve clean
+.PHONY: all build vet fmt-check lint static-tools test perfbench-check test-fault test-fuzz test-replica check bench bench-json bench-serve clean
 
 all: check
 
@@ -37,6 +37,12 @@ static-tools:
 
 test:
 	$(GO) test $(PKGS)
+
+# perfbench is its own Go module (it builds against this one through a
+# replace directive), so `go test ./...` above never compiles it. Vet and
+# test it here so an internal API change cannot break the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-tolerance suite under the race detector: the injector itself, the
 # crash-safe checkpoint I/O, the circuit breaker / degraded serving path,
@@ -68,19 +74,21 @@ test-fuzz:
 test-replica:
 	$(GO) test -race -count=1 ./internal/replica/
 
-check: build vet fmt-check lint test
+check: build vet fmt-check lint test perfbench-check
 
 # Hot-path microbenchmarks: the per-plan forward runtime, the batch
 # serving/training runtime (sequential TrainEpoch/TrainEpochBatched and the
 # data-parallel BenchmarkTrainEpochParallel shard variants), the memory pool
 # read path, the hot-swap serving runtime (full-copy BenchmarkPublish vs
-# BenchmarkPublishDelta, continuous-loop BenchmarkFitParallel), and the
-# tensor kernels underneath them.
+# BenchmarkPublishDelta, continuous-loop BenchmarkFitParallel), the tensor
+# kernels underneath them, and feature encoding with its subplan pool keys
+# (BenchmarkEncode).
 bench:
 	$(GO) test ./internal/core/ -run xxx \
 		-bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpoch|BenchmarkTrainEpochParallel|BenchmarkPublish|BenchmarkServer|BenchmarkFitParallel' \
 		-benchmem -benchtime=1s
 	$(GO) test ./internal/tensor/ -run xxx -bench . -benchmem -benchtime=1s
+	$(GO) test ./internal/feature/ -run xxx -bench BenchmarkEncode -benchmem -benchtime=1s
 
 # Regenerate $(BENCH_OUT) from a fresh benchmark run (see scripts/bench_json.sh).
 bench-json:

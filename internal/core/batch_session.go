@@ -156,7 +156,7 @@ func (s *BatchSession) EstimateBatch(eps []*feature.EncodedPlan, workers int) []
 }
 
 // EstimateBatchWithPool is EstimateBatch with a representation memory pool
-// (Section 3): sub-plans whose signatures hit the pool have their stored
+// (Section 3): sub-plans whose keys hit the pool have their stored
 // G/R injected into the batch slabs up front and their subtrees skip the
 // level sweep entirely; newly computed sub-plan representations are
 // inserted afterwards. The returned slice is owned by the session.
@@ -345,7 +345,7 @@ func (s *BatchSession) markCardPath(pi int, ep *feature.EncodedPlan, idx int) bo
 func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool *MemoryPool) int {
 	node := &ep.Nodes[idx]
 	id := s.offsets[pi] + idx
-	if g, r, ok := pool.GetGen(node.Sig, s.poolGen); ok {
+	if g, r, ok := pool.GetGen(node.Key, s.poolGen); ok {
 		usable := true
 		if s.cardPath[id] && idx != ep.CardNode {
 			// The plan's cardinality node sits strictly inside this pooled
@@ -354,7 +354,7 @@ func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool 
 			// otherwise fall through and recompute the subtree, exactly
 			// like the single-plan path.
 			cid := s.offsets[pi] + ep.CardNode
-			if cg, cr, cok := pool.GetGen(ep.Nodes[ep.CardNode].Sig, s.poolGen); cok {
+			if cg, cr, cok := pool.GetGen(ep.Nodes[ep.CardNode].Key, s.poolGen); cok {
 				copy(s.gOf(cid), cg)
 				copy(s.rOf(cid), cr)
 			} else {
@@ -387,7 +387,7 @@ func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool 
 func (s *BatchSession) insertAll(pool *MemoryPool) {
 	for _, it := range s.all {
 		id := s.offsets[it.plan] + int(it.node)
-		pool.PutGen(s.eps[it.plan].Nodes[it.node].Sig, s.gOf(id), s.rOf(id), s.poolGen)
+		pool.PutGen(s.eps[it.plan].Nodes[it.node].Key, s.gOf(id), s.rOf(id), s.poolGen)
 	}
 }
 

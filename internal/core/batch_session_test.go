@@ -156,14 +156,14 @@ func TestEstimateBatchWithPoolEvictedCardNode(t *testing.T) {
 		}
 		full := NewMemoryPool()
 		m.EstimateBatchWithPool(eps[i:i+1], full, 1)
-		g, r, ok := full.Get(ep.Nodes[ep.Root].Sig)
+		g, r, ok := full.Get(ep.Nodes[ep.Root].Key)
 		if !ok {
 			t.Fatal("root representation missing from warm pool")
 		}
 		// A pool holding only the root: Get(root) hits, Get(cardNode)
 		// misses — exactly the post-eviction shape.
 		pool := NewMemoryPool()
-		pool.Put(ep.Nodes[ep.Root].Sig, g, r)
+		pool.Put(ep.Nodes[ep.Root].Key, g, r)
 		got := m.EstimateBatchWithPool(eps[i:i+1], pool, 1)
 		// Recomputing the card subtree regroups its GEMM levels, but the
 		// canonical kernel order makes level grouping irrelevant to the

@@ -82,7 +82,7 @@ func (s *InferenceSession) forwardNode(ep *feature.EncodedPlan, idx int, pool *M
 	ns.pred = nil
 
 	if pool != nil {
-		if g, r, ok := pool.GetGen(node.Sig, s.poolGen); ok {
+		if g, r, ok := pool.GetGen(node.Key, s.poolGen); ok {
 			ns.g, ns.r = g, r
 			return ns
 		}
@@ -125,7 +125,7 @@ func (s *InferenceSession) forwardNode(ep *feature.EncodedPlan, idx int, pool *M
 	}
 
 	if pool != nil {
-		pool.PutGen(node.Sig, ns.g, ns.r, s.poolGen)
+		pool.PutGen(node.Key, ns.g, ns.r, s.poolGen)
 	}
 	return ns
 }

@@ -1,22 +1,23 @@
 package core
 
 import (
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
+
+	"costest/internal/plan"
 )
 
 // poolShardCount is the number of independent shards a MemoryPool splits its
-// signature space across. Must be a power of two so the shard index is a
-// cheap mask of the signature hash.
+// key space across. Must be a power of two so the shard index is a cheap
+// mask of the key's bits.
 const poolShardCount = 32
 
 // MemoryPool is the Representation Memory Pool of Section 3: a mapping from
-// sub-plan signatures to their learned representations, letting the online
-// estimator skip re-evaluating sub-plans the optimizer has asked about
-// before. It is safe for concurrent use.
+// sub-plan keys (plan.Key) to their learned representations, letting the
+// online estimator skip re-evaluating sub-plans the optimizer has asked
+// about before. It is safe for concurrent use.
 //
-// The map is sharded by signature hash and the hit/miss statistics are plain
+// The map is sharded by key and the hit/miss statistics are plain
 // atomics, so the read path takes only one shard's RLock — concurrent
 // optimizer threads probing the pool never serialize on a single mutex.
 //
@@ -51,7 +52,7 @@ type MemoryPool struct {
 
 type poolShard struct {
 	mu sync.RWMutex
-	m  map[string]*poolEntry
+	m  map[plan.Key]*poolEntry
 	// ring holds the shard's resident entries in clock order (bounded pools
 	// only); hand is the clock sweep position.
 	ring []*poolEntry
@@ -59,7 +60,7 @@ type poolShard struct {
 }
 
 type poolEntry struct {
-	sig  string
+	key  plan.Key
 	g, r []float64
 	// gen is the snapshot generation the representation was computed under.
 	gen uint64
@@ -82,7 +83,7 @@ func NewMemoryPool() *MemoryPool {
 // it is enforced per shard — and eviction follows a per-shard
 // clock/second-chance policy: every Get marks its entry referenced, and the
 // clock sweep evicts the first entry it finds unreferenced, clearing marks
-// as it passes. Hot sub-plan signatures (the optimizer re-probing common
+// as it passes. Hot sub-plans (the optimizer re-probing common
 // join prefixes) therefore survive a stream of one-off insertions, which
 // arbitrary-victim eviction could not guarantee. Entries already evicted for
 // generation staleness are reclaimed by the sweep before anything live.
@@ -92,20 +93,15 @@ func NewBoundedMemoryPool(maxEntries int) *MemoryPool {
 		p.maxPerShard.Store(int64((maxEntries + poolShardCount - 1) / poolShardCount))
 	}
 	for i := range p.shards {
-		p.shards[i].m = make(map[string]*poolEntry)
+		p.shards[i].m = make(map[plan.Key]*poolEntry)
 	}
 	return p
 }
 
-// poolHashSeed keys the shard hash; one process-wide seed keeps sharding
-// deterministic within a run while defeating adversarial signature layouts.
-var poolHashSeed = maphash.MakeSeed()
-
-// shardFor hashes sig (hardware-accelerated maphash; signatures are long
-// subtree descriptors, so a byte-at-a-time hash would dominate Get) to its
-// shard. Allocation-free.
-func (p *MemoryPool) shardFor(sig string) *poolShard {
-	return &p.shards[maphash.String(poolHashSeed, sig)&(poolShardCount-1)]
+// shardFor picks key's shard from the key's own first byte: keys are
+// truncated SHA-256 digests, so their bits are already uniform.
+func (p *MemoryPool) shardFor(key plan.Key) *poolShard {
+	return &p.shards[key[0]&(poolShardCount-1)]
 }
 
 // Generation returns the pool's current generation.
@@ -125,13 +121,13 @@ func (p *MemoryPool) SetGeneration(gen uint64) {
 	}
 }
 
-// Get returns the stored representation for a sub-plan signature at the
-// pool's current generation, marking the entry referenced for the
-// second-chance eviction sweep.
+// Get returns the stored representation for a sub-plan key at the pool's
+// current generation, marking the entry referenced for the second-chance
+// eviction sweep.
 //
 // costlint:noalloc
-func (p *MemoryPool) Get(sig string) (g, r []float64, ok bool) {
-	return p.GetGen(sig, p.gen.Load())
+func (p *MemoryPool) Get(key plan.Key) (g, r []float64, ok bool) {
+	return p.GetGen(key, p.gen.Load())
 }
 
 // GetGen is Get pinned to the caller's snapshot generation: it returns a
@@ -141,10 +137,10 @@ func (p *MemoryPool) Get(sig string) (g, r []float64, ok bool) {
 // generation older than the pool's current one is lazily evicted.
 //
 // costlint:noalloc
-func (p *MemoryPool) GetGen(sig string, gen uint64) (g, r []float64, ok bool) {
-	s := p.shardFor(sig)
+func (p *MemoryPool) GetGen(key plan.Key, gen uint64) (g, r []float64, ok bool) {
+	s := p.shardFor(key)
 	s.mu.RLock()
-	e, found := s.m[sig]
+	e, found := s.m[key]
 	var egen uint64
 	if found {
 		g, r = e.g, e.r
@@ -164,8 +160,8 @@ func (p *MemoryPool) GetGen(sig string, gen uint64) (g, r []float64, ok bool) {
 			// rather than letting dead weight crowd the shard. Re-check under
 			// the write lock — a concurrent PutGen may have refreshed it.
 			s.mu.Lock()
-			if cur, resident := s.m[sig]; resident && cur == e && e.gen < p.gen.Load() {
-				delete(s.m, sig)
+			if cur, resident := s.m[key]; resident && cur == e && e.gen < p.gen.Load() {
+				delete(s.m, key)
 				e.dead = true
 				e.ref.Store(false)
 			}
@@ -177,10 +173,10 @@ func (p *MemoryPool) GetGen(sig string, gen uint64) (g, r []float64, ok bool) {
 	return g, r, true
 }
 
-// Put stores a representation (copied) under the signature at the pool's
-// current generation.
-func (p *MemoryPool) Put(sig string, g, r []float64) {
-	p.PutGen(sig, g, r, p.gen.Load())
+// Put stores a representation (copied) under the key at the pool's current
+// generation.
+func (p *MemoryPool) Put(key plan.Key, g, r []float64) {
+	p.PutGen(key, g, r, p.gen.Load())
 }
 
 // PutGen is Put tagged with the snapshot generation the representation was
@@ -194,14 +190,14 @@ func (p *MemoryPool) Put(sig string, g, r []float64) {
 // cleared), and otherwise the first unreferenced entry is evicted, its ring
 // slot reused for the new entry. The sweep terminates within two passes —
 // the first pass can clear every bit, the second must find a victim.
-func (p *MemoryPool) PutGen(sig string, g, r []float64, gen uint64) {
+func (p *MemoryPool) PutGen(key plan.Key, g, r []float64, gen uint64) {
 	gc := make([]float64, len(g))
 	rc := make([]float64, len(r))
 	copy(gc, g)
 	copy(rc, r)
-	s := p.shardFor(sig)
+	s := p.shardFor(key)
 	s.mu.Lock()
-	if e, resident := s.m[sig]; resident {
+	if e, resident := s.m[key]; resident {
 		// Refresh in place; readers that already fetched the old slices keep
 		// them (Put copies, entries never mutate a published slice).
 		e.g, e.r = gc, rc
@@ -209,7 +205,7 @@ func (p *MemoryPool) PutGen(sig string, g, r []float64, gen uint64) {
 		s.mu.Unlock()
 		return
 	}
-	e := &poolEntry{sig: sig, g: gc, r: rc, gen: gen}
+	e := &poolEntry{key: key, g: gc, r: rc, gen: gen}
 	if max := int(p.maxPerShard.Load()); max > 0 {
 		// A shrunk bound (SetBound) may leave the ring oversized; evict down
 		// before placing the new entry so residency converges on the bound.
@@ -224,7 +220,7 @@ func (p *MemoryPool) PutGen(sig string, g, r []float64, gen uint64) {
 						s.hand = (s.hand + 1) % len(s.ring)
 						continue
 					}
-					delete(s.m, v.sig)
+					delete(s.m, v.key)
 				}
 				s.ring[s.hand] = e
 				s.hand = (s.hand + 1) % len(s.ring)
@@ -234,7 +230,7 @@ func (p *MemoryPool) PutGen(sig string, g, r []float64, gen uint64) {
 			s.ring = append(s.ring, e)
 		}
 	}
-	s.m[sig] = e
+	s.m[key] = e
 	s.mu.Unlock()
 }
 
@@ -250,7 +246,7 @@ func (s *poolShard) evictOneLocked() {
 				s.hand = (s.hand + 1) % len(s.ring)
 				continue
 			}
-			delete(s.m, v.sig)
+			delete(s.m, v.key)
 		}
 		s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
 		if s.hand >= len(s.ring) {
@@ -430,7 +426,7 @@ func (p *MemoryPool) Reset() {
 		p.shards[i].mu.Lock()
 	}
 	for i := range p.shards {
-		p.shards[i].m = make(map[string]*poolEntry)
+		p.shards[i].m = make(map[plan.Key]*poolEntry)
 		p.shards[i].ring = p.shards[i].ring[:0]
 		p.shards[i].hand = 0
 	}

@@ -1,20 +1,30 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
+
+	"costest/internal/plan"
 )
 
-// fillPool inserts n distinct signatures (probing first, so misses are
-// counted like a serving workload would produce them).
+// testKey derives a pool key from a label, the way plan.FoldKey derives one
+// from a subplan: a truncated SHA-256.
+func testKey(label string) plan.Key {
+	sum := sha256.Sum256([]byte(label))
+	return plan.Key(sum[:16])
+}
+
+// fillPool inserts n distinct keys (probing first, so misses are counted
+// like a serving workload would produce them).
 func fillPool(p *MemoryPool, prefix string, n int) {
 	g := []float64{1, 2}
 	r := []float64{3, 4}
 	for i := 0; i < n; i++ {
-		sig := fmt.Sprintf("%s-%d", prefix, i)
-		p.Get(sig)
-		p.Put(sig, g, r)
+		key := testKey(fmt.Sprintf("%s-%d", prefix, i))
+		p.Get(key)
+		p.Put(key, g, r)
 	}
 }
 
@@ -44,8 +54,8 @@ func TestSetBoundShrinkGrowUnbound(t *testing.T) {
 	// reused, not leaked).
 	g := []float64{5}
 	r := []float64{6}
-	p.Put("fresh", g, r)
-	if _, _, ok := p.Get("fresh"); !ok {
+	p.Put(testKey("fresh"), g, r)
+	if _, _, ok := p.Get(testKey("fresh")); !ok {
 		t.Fatal("entry inserted after rebound is not retrievable")
 	}
 
@@ -71,14 +81,14 @@ func TestSetBoundShrinkKeepsReferencedEntries(t *testing.T) {
 	// Reference half the entries; the sweep must prefer evicting the rest.
 	hot := 0
 	for i := 0; i < 128; i += 2 {
-		if _, _, ok := p.Get(fmt.Sprintf("x-%d", i)); ok {
+		if _, _, ok := p.Get(testKey(fmt.Sprintf("x-%d", i))); ok {
 			hot++
 		}
 	}
 	p.SetBound(64)
 	surviving := 0
 	for i := 0; i < 128; i += 2 {
-		if _, _, ok := p.Get(fmt.Sprintf("x-%d", i)); ok {
+		if _, _, ok := p.Get(testKey(fmt.Sprintf("x-%d", i))); ok {
 			surviving++
 		}
 	}
@@ -103,7 +113,7 @@ func TestPoolAdvise(t *testing.T) {
 		t.Fatalf("unbounded advice = %+v, want recommended in [100,200]", a)
 	}
 
-	// Thrashing: distinct signatures stream through a full pool, hit rate
+	// Thrashing: distinct keys stream through a full pool, hit rate
 	// collapses → grow.
 	th := NewBoundedMemoryPool(32)
 	fillPool(th, "t", 500)
@@ -117,7 +127,7 @@ func TestPoolAdvise(t *testing.T) {
 	fillPool(ov, "o", 10)
 	for k := 0; k < 20; k++ {
 		for i := 0; i < 10; i++ {
-			ov.Get(fmt.Sprintf("o-%d", i))
+			ov.Get(testKey(fmt.Sprintf("o-%d", i)))
 		}
 	}
 	a = ov.Advise()
@@ -131,12 +141,12 @@ func TestPoolAdvise(t *testing.T) {
 	g := []float64{1}
 	r := []float64{2}
 	for i := 0; i < 32; i++ {
-		gen.PutGen(fmt.Sprintf("g-%d", i), g, r, 1)
+		gen.PutGen(testKey(fmt.Sprintf("g-%d", i)), g, r, 1)
 	}
 	gen.Advise() // close the fill window
 	gen.SetGeneration(2)
 	for i := 0; i < 32; i++ {
-		gen.GetGen(fmt.Sprintf("g-%d", i), 2)
+		gen.GetGen(testKey(fmt.Sprintf("g-%d", i)), 2)
 	}
 	a = gen.Advise()
 	if a.StaleRate <= 0.1 || a.Recommended <= a.Bound {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"costest/internal/feature"
+	"costest/internal/plan"
 )
 
 // Server is the hot-swap serving runtime: it binds the inference sessions,
@@ -77,14 +79,14 @@ type Server struct {
 }
 
 // hotTracker records how often each distinct plan (keyed by its root
-// signature) has been served, so a publish can replay the hottest ones
+// plan.Key) has been served, so a publish can replay the hottest ones
 // through the new snapshot. Hit counts are halved at each replay, so the hot
 // set adapts as the workload drifts. The tracker retains references to the
 // served EncodedPlans; cap the working set with the EnablePrewarm limit.
 type hotTracker struct {
 	mu    sync.Mutex
 	limit int
-	plans map[string]*hotPlan
+	plans map[plan.Key]*hotPlan
 	// scratch buffers reused across replays.
 	order []*hotPlan
 	batch []*feature.EncodedPlan
@@ -95,21 +97,23 @@ type hotPlan struct {
 	hits int64
 }
 
+func (hp *hotPlan) rootKey() plan.Key { return hp.ep.Nodes[hp.ep.Root].Key }
+
 // track counts one served plan. New plans are admitted while the tracked set
 // is under twice the replay limit; replays prune it back down.
 func (tr *hotTracker) track(ep *feature.EncodedPlan) {
-	sig := ep.Nodes[ep.Root].Sig
+	key := ep.Nodes[ep.Root].Key
 	tr.mu.Lock()
-	if hp := tr.plans[sig]; hp != nil {
+	if hp := tr.plans[key]; hp != nil {
 		hp.hits++
 	} else if len(tr.plans) < 2*tr.limit {
-		tr.plans[sig] = &hotPlan{ep: ep, hits: 1}
+		tr.plans[key] = &hotPlan{ep: ep, hits: 1}
 	}
 	tr.mu.Unlock()
 }
 
 // topPlans returns the hottest tracked plans (at most the replay limit, hit
-// count descending, root signature as the deterministic tie-break), halves
+// count descending, root key bytes as the deterministic tie-break), halves
 // every hit count, and prunes cooled-off entries beyond the limit.
 func (tr *hotTracker) topPlans() []*feature.EncodedPlan {
 	tr.mu.Lock()
@@ -122,14 +126,15 @@ func (tr *hotTracker) topPlans() []*feature.EncodedPlan {
 		if tr.order[i].hits != tr.order[j].hits {
 			return tr.order[i].hits > tr.order[j].hits
 		}
-		return tr.order[i].ep.Nodes[tr.order[i].ep.Root].Sig < tr.order[j].ep.Nodes[tr.order[j].ep.Root].Sig
+		ki, kj := tr.order[i].rootKey(), tr.order[j].rootKey()
+		return bytes.Compare(ki[:], kj[:]) < 0
 	})
 	tr.batch = tr.batch[:0]
 	for i, hp := range tr.order {
 		if i < tr.limit {
 			tr.batch = append(tr.batch, hp.ep)
 		} else if hp.hits <= 1 {
-			delete(tr.plans, hp.ep.Nodes[hp.ep.Root].Sig)
+			delete(tr.plans, hp.rootKey())
 		}
 		hp.hits /= 2
 	}
@@ -338,7 +343,7 @@ func (srv *Server) install(snap *ModelSnapshot) {
 	if srv.pool != nil && srv.prewarm.Load() != nil &&
 		srv.prewarmPending.CompareAndSwap(false, true) {
 		// Hide the post-swap stale transient from foreground requests:
-		// replay the hottest signatures through the new snapshot in the
+		// replay the hottest plans through the new snapshot in the
 		// background, repopulating the pool at the new generation. At most
 		// one worker runs; publishes landing while it works are coalesced
 		// into its catch-up loop.
@@ -360,7 +365,7 @@ func (srv *Server) EnablePrewarm(limit int) {
 		srv.prewarm.Store(nil)
 		return
 	}
-	srv.prewarm.Store(&hotTracker{limit: limit, plans: make(map[string]*hotPlan)})
+	srv.prewarm.Store(&hotTracker{limit: limit, plans: make(map[plan.Key]*hotPlan)})
 }
 
 // PrewarmNow replays the hottest tracked plans through the currently served

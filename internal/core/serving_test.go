@@ -1,11 +1,16 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"costest/internal/feature"
+	"costest/internal/plan"
+	"costest/internal/sqlpred"
 )
 
 // TestSnapshotImmutableUnderTraining pins the copy-on-publish contract: a
@@ -69,17 +74,17 @@ func TestPoolGenerations(t *testing.T) {
 	r := []float64{3, 4}
 
 	p := NewMemoryPool()
-	p.PutGen("sig", g, r, 1)
-	if _, _, ok := p.GetGen("sig", 1); !ok {
+	p.PutGen(testKey("sig"), g, r, 1)
+	if _, _, ok := p.GetGen(testKey("sig"), 1); !ok {
 		t.Fatal("same-generation lookup missed")
 	}
 	// A caller pinned to a different generation must never see the entry —
 	// in either direction (old entry/new caller, new entry/old caller).
-	if _, _, ok := p.GetGen("sig", 2); ok {
+	if _, _, ok := p.GetGen(testKey("sig"), 2); ok {
 		t.Fatal("generation-1 entry served to a generation-2 caller")
 	}
-	p.PutGen("sig2", g, r, 2)
-	if _, _, ok := p.GetGen("sig2", 1); ok {
+	p.PutGen(testKey("sig2"), g, r, 2)
+	if _, _, ok := p.GetGen(testKey("sig2"), 1); ok {
 		t.Fatal("generation-2 entry served to a generation-1 caller")
 	}
 	if p.StaleRate() == 0 {
@@ -96,15 +101,15 @@ func TestPoolGenerations(t *testing.T) {
 		t.Fatalf("generation moved backwards to %d", p.Generation())
 	}
 	before := p.Len()
-	if _, _, ok := p.Get("sig"); ok { // current-generation lookup
+	if _, _, ok := p.Get(testKey("sig")); ok { // current-generation lookup
 		t.Fatal("stale entry served after SetGeneration")
 	}
 	if p.Len() != before-1 {
 		t.Fatalf("stale entry not evicted: Len %d -> %d", before, p.Len())
 	}
 	// Re-inserting under the current generation serves again.
-	p.Put("sig", g, r)
-	if _, _, ok := p.Get("sig"); !ok {
+	p.Put(testKey("sig"), g, r)
+	if _, _, ok := p.Get(testKey("sig")); !ok {
 		t.Fatal("refreshed entry missed at current generation")
 	}
 
@@ -113,28 +118,30 @@ func TestPoolGenerations(t *testing.T) {
 	// eviction), then refill under the new generation. Each fresh insert
 	// must be immediately retrievable (its ring slot comes from a dead
 	// entry, not past the bound) and residency must respect the bound.
-	// Shard assignment is hash-seeded per process, so assertions avoid
-	// assuming which signatures share a shard.
+	// Assertions avoid assuming which keys share a shard.
 	bp := NewBoundedMemoryPool(poolShardCount) // 1 entry per shard
-	sigs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for _, s := range sigs {
-		bp.PutGen(s, g, r, 1)
+	var keys []plan.Key
+	for _, s := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+		keys = append(keys, testKey(s))
+	}
+	for _, k := range keys {
+		bp.PutGen(k, g, r, 1)
 	}
 	bp.SetGeneration(2)
-	for _, s := range sigs {
-		bp.GetGen(s, 2) // touch: lazily evicts every generation-1 entry
+	for _, k := range keys {
+		bp.GetGen(k, 2) // touch: lazily evicts every generation-1 entry
 	}
 	if n := bp.Len(); n != 0 {
 		t.Fatalf("bounded pool kept %d stale entries after touches", n)
 	}
-	for _, s := range sigs {
-		bp.PutGen(s, g, r, 2)
-		if _, _, ok := bp.GetGen(s, 2); !ok {
-			t.Fatalf("entry %q missing immediately after ring-slot reuse", s)
+	for i, k := range keys {
+		bp.PutGen(k, g, r, 2)
+		if _, _, ok := bp.GetGen(k, 2); !ok {
+			t.Fatalf("entry %d missing immediately after ring-slot reuse", i)
 		}
 	}
-	if n := bp.Len(); n == 0 || n > len(sigs) {
-		t.Fatalf("bounded pool resident count %d after refill, want 1..%d", n, len(sigs))
+	if n := bp.Len(); n == 0 || n > len(keys) {
+		t.Fatalf("bounded pool resident count %d after refill, want 1..%d", n, len(keys))
 	}
 }
 
@@ -354,11 +361,11 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 	}
 
 	v := srv.Version()
-	hotSig := eps[0].Nodes[eps[0].Root].Sig
-	if _, _, ok := srv.Pool().GetGen(hotSig, v); !ok {
+	hotKey := eps[0].Nodes[eps[0].Root].Key
+	if _, _, ok := srv.Pool().GetGen(hotKey, v); !ok {
 		t.Fatal("hot plan not resident at the new generation after pre-warm")
 	}
-	if _, _, ok := ctrl.Pool().GetGen(hotSig, ctrl.Version()); ok {
+	if _, _, ok := ctrl.Pool().GetGen(hotKey, ctrl.Version()); ok {
 		t.Fatal("control server hit at the new generation without pre-warm; transient test is vacuous")
 	}
 
@@ -398,7 +405,7 @@ func TestServerPrewarmBackground(t *testing.T) {
 	for {
 		hits := 0
 		for _, ep := range eps[:4] {
-			if _, _, ok := srv.Pool().GetGen(ep.Nodes[ep.Root].Sig, v); ok {
+			if _, _, ok := srv.Pool().GetGen(ep.Nodes[ep.Root].Key, v); ok {
 				hits++
 			}
 		}
@@ -946,5 +953,39 @@ func TestSnapshotDrainStats(t *testing.T) {
 	// pushing the mark up.
 	if st := srv.SnapshotDrainStats(); st.Retired > hw || st.RetiredHighWater != hw {
 		t.Fatalf("drain list kept growing after release: %+v (high water was %d)", st, hw)
+	}
+}
+
+// TestPooledServerNoCrossPlanPoisoning pins that the pool keys a subplan by
+// what the encoder reads, not by its rendering: `note IN ('a','b')` and
+// `note IN ('a, b')` render the same Signature but encode different
+// predicate vectors, so a pooled server answering one must not serve the
+// other's representation.
+func TestPooledServerNoCrossPlanPoisoning(t *testing.T) {
+	scan := func(vals ...string) *feature.EncodedPlan {
+		n := &plan.Node{Type: plan.SeqScan, Table: "movie_companies",
+			Filter: &sqlpred.Atom{Table: "movie_companies", Column: "note",
+				Op: sqlpred.OpIn, InVals: vals, IsStr: true}}
+		ep, err := testEnc.Encode(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	a, b := scan("a", "b"), scan("a, b")
+	m := New(TestConfig(), testEnc)
+	bare := NewServer(m, nil)
+	ac, ad, _ := bare.Estimate(a)
+	wantCost, wantCard, _ := bare.Estimate(b)
+	if ac == wantCost && ad == wantCard {
+		t.Fatal("plans estimate identically without a pool; the test is vacuous")
+	}
+	pooled := NewServer(m, NewMemoryPool())
+	pooled.Estimate(a)
+	gotCost, gotCard, _ := pooled.Estimate(b)
+	if math.Float64bits(gotCost) != math.Float64bits(wantCost) ||
+		math.Float64bits(gotCard) != math.Float64bits(wantCard) {
+		t.Fatalf("pooled estimate of B = (%g,%g), pool-less (%g,%g); answered from A's representation",
+			gotCost, gotCard, wantCost, wantCard)
 	}
 }

@@ -148,8 +148,8 @@ func (s *InferenceSession) EstimateWithPool(ep *feature.EncodedPlan, pool *Memor
 		}
 		if cardNS == nil && pool != nil {
 			// The cardinality node was skipped because an enclosing sub-plan
-			// came from the pool; fetch its representation by signature.
-			if _, r, ok := pool.GetGen(ep.Nodes[ep.CardNode].Sig, s.poolGen); ok {
+			// came from the pool; fetch its representation by key.
+			if _, r, ok := pool.GetGen(ep.Nodes[ep.CardNode].Key, s.poolGen); ok {
 				s.scratch.r = r
 				cardNS = &s.scratch
 			}

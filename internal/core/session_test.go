@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"costest/internal/feature"
+	"costest/internal/plan"
 )
 
 // benchCorpus builds a small deterministic corpus for the forward-path
@@ -106,9 +107,9 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 	for _, ep := range eps {
 		sess.EstimateWithPool(ep, pool)
 	}
-	sig := eps[0].Nodes[eps[0].Root].Sig
+	key := eps[0].Nodes[eps[0].Root].Key
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, _, ok := pool.Get(sig); !ok {
+		if _, _, ok := pool.Get(key); !ok {
 			t.Fatal("warm pool missed")
 		}
 	})
@@ -133,22 +134,22 @@ func TestBoundedPoolEviction(t *testing.T) {
 	g := []float64{1, 2}
 	r := []float64{3, 4}
 	for i := 0; i < 10*maxEntries; i++ {
-		pool.Put(fmt.Sprintf("sig-%d", i), g, r)
+		pool.Put(testKey(fmt.Sprintf("sig-%d", i)), g, r)
 	}
 	// Per-shard enforcement makes the bound approximate; allow one extra
 	// entry per shard of headroom but no unbounded growth.
 	if n := pool.Len(); n > maxEntries+poolShardCount {
 		t.Fatalf("bounded pool grew to %d entries (cap %d)", n, maxEntries)
 	}
-	pool.Put("probe", g, r)
-	pg, pr, ok := pool.Get("probe")
+	pool.Put(testKey("probe"), g, r)
+	pg, pr, ok := pool.Get(testKey("probe"))
 	if !ok || pg[1] != 2 || pr[0] != 3 {
 		t.Fatal("bounded pool lost a fresh entry or corrupted it")
 	}
 }
 
 // TestClockEvictionKeepsHotEntries pins the second-chance behavior: hot
-// signatures that keep getting probed between insertions must survive a long
+// keys that keep getting probed between insertions must survive a long
 // stream of one-off cold insertions. (Arbitrary-victim eviction would lose
 // roughly half the hot set under this pressure.)
 func TestClockEvictionKeepsHotEntries(t *testing.T) {
@@ -160,24 +161,24 @@ func TestClockEvictionKeepsHotEntries(t *testing.T) {
 	pool := NewBoundedMemoryPool(maxEntries)
 	g := []float64{1, 2}
 	r := []float64{3, 4}
-	hot := make([]string, hotCount)
+	hot := make([]plan.Key, hotCount)
 	for i := range hot {
-		hot[i] = fmt.Sprintf("hot-join-prefix-%d", i)
+		hot[i] = testKey(fmt.Sprintf("hot-join-prefix-%d", i))
 		pool.Put(hot[i], g, r)
 	}
 	for k := 0; k < coldPuts; k++ {
 		// The optimizer keeps probing its hot sub-plans, so their reference
 		// bits are set when the next one-off insertion needs a victim.
-		for _, sig := range hot {
-			if _, _, ok := pool.Get(sig); !ok {
-				t.Fatalf("hot signature %q evicted after %d cold insertions", sig, k)
+		for i, key := range hot {
+			if _, _, ok := pool.Get(key); !ok {
+				t.Fatalf("hot key %d evicted after %d cold insertions", i, k)
 			}
 		}
-		pool.Put(fmt.Sprintf("cold-oneoff-%d", k), g, r)
+		pool.Put(testKey(fmt.Sprintf("cold-oneoff-%d", k)), g, r)
 	}
-	for _, sig := range hot {
-		if _, _, ok := pool.Get(sig); !ok {
-			t.Fatalf("hot signature %q not resident after eviction pressure", sig)
+	for i, key := range hot {
+		if _, _, ok := pool.Get(key); !ok {
+			t.Fatalf("hot key %d not resident after eviction pressure", i)
 		}
 	}
 	if n := pool.Len(); n > maxEntries+poolShardCount {
@@ -205,11 +206,11 @@ func TestPoolEvictedCardNode(t *testing.T) {
 		pool := NewMemoryPool()
 		full := NewMemoryPool()
 		sess.EstimateWithPool(ep, full)
-		g, r, ok := full.Get(ep.Nodes[ep.Root].Sig)
+		g, r, ok := full.Get(ep.Nodes[ep.Root].Key)
 		if !ok {
 			t.Fatal("root representation missing from warm pool")
 		}
-		pool.Put(ep.Nodes[ep.Root].Sig, g, r)
+		pool.Put(ep.Nodes[ep.Root].Key, g, r)
 		gotCost, gotCard := sess.EstimateWithPool(ep, pool)
 		if gotCost != wantCost || gotCard != wantCard {
 			t.Fatalf("evicted card node degraded the estimate: (%g,%g) vs (%g,%g)",
@@ -306,10 +307,10 @@ func BenchmarkPoolGetParallel(b *testing.B) {
 	pool := NewMemoryPool()
 	g := make([]float64, 16)
 	r := make([]float64, 16)
-	sigs := make([]string, 512)
-	for i := range sigs {
-		sigs[i] = fmt.Sprintf("sig-%d|join|scan-%d", i, i%7)
-		pool.Put(sigs[i], g, r)
+	keys := make([]plan.Key, 512)
+	for i := range keys {
+		keys[i] = testKey(fmt.Sprintf("sig-%d|join|scan-%d", i, i%7))
+		pool.Put(keys[i], g, r)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -317,7 +318,7 @@ func BenchmarkPoolGetParallel(b *testing.B) {
 		var i uint64
 		for pb.Next() {
 			n := atomic.AddUint64(&i, 1)
-			pool.Get(sigs[n%uint64(len(sigs))])
+			pool.Get(keys[n%uint64(len(keys))])
 		}
 	})
 }

@@ -82,8 +82,9 @@ type EncodedNode struct {
 	Left   int // child indices into EncodedPlan.Nodes; -1 when absent
 	Right  int
 
-	// Sig is the subtree signature, keying the representation memory pool.
-	Sig string
+	// Key is the subtree's structural key (plan.Node.FoldKey), keying the
+	// representation memory pool.
+	Key plan.Key
 
 	// Supervision targets copied from the executed plan.
 	TrueRows float64
@@ -103,14 +104,12 @@ type EncodedPlan struct {
 	Card float64
 	// CardNode indexes the node defining Card.
 	CardNode int
-	// Signature mirrors plan.Node.Signature for memory-pool keying.
-	Signature string
 }
 
 // Encode converts an executed plan into tensors. The plan must carry
 // TrueRows/TrueCost annotations if the sample will be used for training.
 func (e *Encoder) Encode(root *plan.Node) (*EncodedPlan, error) {
-	ep := &EncodedPlan{Root: 0, Signature: root.Signature()}
+	ep := &EncodedPlan{Root: 0}
 	cardNode := root.CardinalityNode()
 	if _, err := e.encodeNode(root, ep, cardNode); err != nil {
 		return nil, err
@@ -128,8 +127,7 @@ func (e *Encoder) encodeNode(n *plan.Node, ep *EncodedPlan, cardNode *plan.Node)
 		ep.CardNode = idx
 	}
 
-	enc := EncodedNode{Left: -1, Right: -1, TrueRows: n.TrueRows, TrueCost: n.TrueCost,
-		Sig: n.Signature()}
+	enc := EncodedNode{Left: -1, Right: -1, TrueRows: n.TrueRows, TrueCost: n.TrueCost}
 	enc.Op = e.encodeOp(n)
 	enc.Meta = e.encodeMeta(n)
 	pred, err := e.encodePred(nodePredicate(n))
@@ -147,20 +145,22 @@ func (e *Encoder) encodeNode(n *plan.Node, ep *EncodedPlan, cardNode *plan.Node)
 		}
 	}
 
+	var lk, rk plan.Key
 	if n.Left != nil {
 		l, err := e.encodeNode(n.Left, ep, cardNode)
 		if err != nil {
 			return 0, err
 		}
-		enc.Left = l
+		enc.Left, lk = l, ep.Nodes[l].Key
 	}
 	if n.Right != nil {
 		r, err := e.encodeNode(n.Right, ep, cardNode)
 		if err != nil {
 			return 0, err
 		}
-		enc.Right = r
+		enc.Right, rk = r, ep.Nodes[r].Key
 	}
+	enc.Key = n.FoldKey(lk, rk)
 	ep.Nodes[idx] = enc
 	return idx, nil
 }

@@ -164,8 +164,10 @@ func (n *Node) Depth() int {
 	return r + 1
 }
 
-// Signature returns a canonical string identifying the logical content of
-// the subtree; the Representation Memory Pool (Section 3) keys on it.
+// Signature renders the logical content of the subtree as a human-readable
+// string, for logs, tests and corpus deduplication. It re-renders the whole
+// subtree on every call, so nothing on the serving or training path calls
+// it; the Representation Memory Pool (Section 3) keys on FoldKey instead.
 func (n *Node) Signature() string {
 	var b strings.Builder
 	n.writeSignature(&b)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -282,5 +283,27 @@ func TestWireRoundTrip(t *testing.T) {
 		if c0 != c1 || d0 != d1 {
 			t.Fatalf("plan %d: estimate drift through wire: (%g,%g) vs (%g,%g)", i, c0, d0, c1, d1)
 		}
+	}
+}
+
+// TestWriteJSONRejectsNonFinite pins that a response JSON cannot represent
+// answers 500 rather than a 200 with a truncated body, and that finite
+// responses keep their exact bytes.
+func TestWriteJSONRejectsNonFinite(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, estimateResponse{Estimates: []wireEstimate{{Cost: math.NaN(), Card: 1, Version: 1}}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("NaN estimate answered %d, want 500", rec.Code)
+	}
+
+	ok := estimateResponse{Estimates: []wireEstimate{{Cost: 12.5, Card: 3, Version: 2, Epoch: 1}}}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, ok)
+	want := "{\n  \"estimates\": [\n    {\n      \"cost\": 12.5,\n      \"card\": 3,\n      \"version\": 2,\n      \"epoch\": 1\n    }\n  ]\n}\n"
+	if rec.Code != http.StatusOK || rec.Body.String() != want {
+		t.Fatalf("finite response = %d %q, want 200 %q", rec.Code, rec.Body.String(), want)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q", ct)
 	}
 }

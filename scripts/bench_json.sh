@@ -20,6 +20,7 @@ inference)
         -bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpoch|BenchmarkTrainEpochParallel|BenchmarkPublish|BenchmarkServer|BenchmarkFitParallel' \
         -benchmem -benchtime=1s >"$tmp"
     go test ./internal/tensor/ -run xxx -bench . -benchmem -benchtime=1s >>"$tmp"
+    go test ./internal/feature/ -run xxx -bench BenchmarkEncode -benchmem -benchtime=1s >>"$tmp"
     ;;
 serve)
     go test ./internal/serve/ -run xxx -bench 'BenchmarkScheduler' \
